@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"lobstore"
 	"lobstore/internal/buffer"
@@ -38,7 +37,7 @@ type volBenchReport struct {
 type volBenchCase struct {
 	// Name is backend-pattern-op[-sync], e.g. "file-rand-write-sync",
 	// pool-backend-writeback[-coalesce] for the buffer-pool cells, or
-	// group-commit-N-pattern-append for the barrier-combiner cells.
+	// group-commit-N-pattern-append for the concurrent-barrier cells.
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	MBPerS      float64 `json:"mb_per_s"`
@@ -180,13 +179,13 @@ func benchPoolWriteback(p *buffer.Pool, d *disk.Disk, writeCalls, simMs *float64
 }
 
 // benchGroupCommit measures the sync-heavy multi-client append workload
-// through the barrier combiner: clients goroutines each loop
+// through the volume's barrier path: clients goroutines each loop
 // {WriteRun(own 4-page run in its stripe); Sync()} under policy commit, so
-// every op pays a durability barrier. clients == 1 with batching off is
-// the per-op-fsync baseline; larger cells open the volume with
-// MaxBatch == clients and a 2 ms window, and the ≥5× throughput win at
-// batch 16 is what BENCH CI guards. b.N is split across the clients; each
-// reports one op per committed barrier.
+// every op pays a durability barrier. clients == 1 is the per-op-fsync
+// baseline; in larger cells the barriers that queue behind an in-flight
+// flush share the next one, and that throughput win is what BENCH CI
+// guards. b.N is split across the clients; each reports one op per
+// committed barrier.
 func benchGroupCommit(v *filevol.Volume, clients int, random bool, fsyncsPerOp, avgBatch *float64) func(b *testing.B) {
 	return func(b *testing.B) {
 		pageSize := v.PageSize()
@@ -444,12 +443,7 @@ func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := filevol.Open(dir, pageSize,
-				filevol.WithPolicy(filevol.SyncCommit),
-				filevol.WithGroupCommit(filevol.GroupCommit{
-					MaxBatch: clients,
-					MaxDelay: 2 * time.Millisecond,
-				}))
+			v, err := filevol.Open(dir, pageSize, filevol.WithPolicy(filevol.SyncCommit))
 			if err != nil {
 				return nil, err
 			}
@@ -482,7 +476,7 @@ func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 
 	// Engine cells: the sync-heavy append workload once more, but through
 	// the whole concurrent facade — object locks, store mutex, commit
-	// barriers, group commit. The 1-client cell is the serial baseline;
+	// barriers sharing flushes. The 1-client cell is the serial baseline;
 	// the 16-client cell is the scaling claim benchdiff watches
 	// (warn-only, like every wall-clock volume cell).
 	for _, clients := range []int{1, 4, 16} {
@@ -500,7 +494,6 @@ func volumeBenchmarks(pageSize int) (*volBenchReport, error) {
 		// pool, so the paper's 12-frame default starves under overlap;
 		// every cell gets the same enlarged pool to keep scaling honest.
 		cfg.BufferPages = 256
-		cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: clients, MaxDelay: 2 * time.Millisecond}
 		db, err := lobstore.Open(cfg)
 		if err != nil {
 			return nil, err

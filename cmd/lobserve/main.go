@@ -2,10 +2,10 @@
 // internal/wire length-prefixed binary protocol. It opens the store
 // through the concurrency engine (Config.Concurrent), so many
 // connections share one database with per-object FIFO ordering and
-// snapshot reads, and commits from independent connections coalesce into
-// the file backend's group-commit batches.
+// snapshot reads, and commits from independent connections that overlap
+// share the file backend's device flushes.
 //
-//	$ lobserve -addr :7431 -backend file -dir /data/lob -group-commit 16 -group-delay 2ms
+//	$ lobserve -addr :7431 -backend file -dir /data/lob
 //
 // The server logs "listening on ADDR" to stderr once ready (use -addr
 // with port 0 to pick a free port), and shuts down cleanly on SIGINT or
@@ -17,9 +17,6 @@
 //	-backend         mem or file (default mem)
 //	-dir             file-backend directory
 //	-sync            file-backend fsync policy: always, commit, never
-//	-group-commit    max barriers per device flush (0 = off)
-//	-group-delay     max wait for a group-commit batch to fill
-//	-async-writeback move pwrites onto a background writer
 //	-coalesce        elevator write coalescing + sequential read-ahead
 //	-buffer-pages    buffer pool size in pages (0 = concurrent minimum)
 //	-workers         executor goroutines per connection (0 = default 4)

@@ -174,11 +174,11 @@ func TestFileCrashMatrix(t *testing.T) {
 
 	// The whole matrix runs three times: once with the paper's
 	// one-write-per-page write-back, once with the elevator scheduler, and
-	// once through the commit pipeline (group commit + async write-back) —
-	// the cuts then land between a commit group's data writes and its
-	// shared fsync. Recovery always reopens with every mode OFF, so the
-	// on-mode legs also prove the modes agree on the durable state: same
-	// recovered bytes, same fsck.
+	// once through the serving pipeline lobserve runs — the concurrency
+	// engine (Config.Concurrent), which releases the store mutex around
+	// every barrier's flush. Recovery always reopens with every mode OFF,
+	// so the on-mode legs also prove the modes agree on the durable state:
+	// same recovered bytes, same fsck.
 	modes := []struct {
 		name     string
 		coalesce bool
@@ -194,8 +194,8 @@ func TestFileCrashMatrix(t *testing.T) {
 					cfg.CrashInjection = true
 					cfg.Coalesce = mode.coalesce
 					if mode.pipeline {
-						cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-						cfg.AsyncWriteback = true
+						cfg.Concurrent = true
+						cfg.BufferPages = lobstore.MinConcurrentBufferPages
 					}
 					db, err := lobstore.Open(cfg)
 					if err != nil {
@@ -233,8 +233,8 @@ func TestFileCrashMatrix(t *testing.T) {
 						cfg.CrashInjection = true
 						cfg.Coalesce = mode.coalesce
 						if mode.pipeline {
-							cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-							cfg.AsyncWriteback = true
+							cfg.Concurrent = true
+							cfg.BufferPages = lobstore.MinConcurrentBufferPages
 						}
 						db, err := lobstore.Open(cfg)
 						if err != nil {
@@ -336,9 +336,9 @@ func TestOpenWriteKillReopen(t *testing.T) {
 		return
 	}
 	// The child writes with and without the elevator scheduler, and once
-	// through the commit pipeline (group commit + async write-back); the
-	// parent always recovers with every mode off, so the on-mode legs
-	// double as cross-mode checks on the durable state.
+	// through the serving pipeline (the concurrency engine, as lobserve
+	// runs it); the parent always recovers with every mode off, so the
+	// on-mode legs double as cross-mode checks on the durable state.
 	for _, mode := range []struct {
 		name     string
 		coalesce string
@@ -434,8 +434,8 @@ func killChildMain(t *testing.T) {
 	cfg := fileConfig(dir)
 	cfg.Coalesce = os.Getenv("LOBSTORE_KILL_COALESCE") != ""
 	if os.Getenv("LOBSTORE_KILL_PIPELINE") != "" {
-		cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: 4}
-		cfg.AsyncWriteback = true
+		cfg.Concurrent = true
+		cfg.BufferPages = lobstore.MinConcurrentBufferPages
 	}
 	db, err := lobstore.Open(cfg)
 	if err != nil {

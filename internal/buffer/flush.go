@@ -119,11 +119,9 @@ func (p *Pool) evictWindow(start, npages int) error {
 // so the barrier syncs a few large sequential writes instead of leaving
 // the backlog to later one-page evictions. A no-op with coalescing off.
 //
-// The pool stays deterministic and single-threaded; when the file
-// backend's async write-back is on, these writes merely enqueue to its
-// background writer, and the barrier that follows fences that queue
-// (filevol's pipeline) before syncing — so writes-before-commit ordering
-// is exactly as in the synchronous path.
+// The pool stays deterministic and single-threaded; the barrier that
+// follows makes these writes durable before the commit point, so
+// writes-before-commit ordering is exactly as without coalescing.
 func (p *Pool) FlushBarrier() error {
 	if !p.coalesce {
 		return nil

@@ -80,8 +80,8 @@ type Disk struct {
 	// syncInterpose, when set, wraps the device flush at the heart of
 	// Barrier. The concurrent engine installs it to release the store-wide
 	// mutex for exactly the duration of the flush, so concurrent
-	// committers' barriers pile into the volume's group-commit batches
-	// instead of serializing; everything around the flush — the SyncStats
+	// committers' barriers pile into the volume's commit groups instead
+	// of serializing; everything around the flush — the SyncStats
 	// delta and event emission — still runs under the caller's lock.
 	syncInterpose func(sync func() error) error
 }
@@ -314,25 +314,26 @@ func (d *Disk) Barrier() error {
 	}
 	if d.obs.Enabled() {
 		if gs, ok := d.vol.(GroupSyncer); ok {
+			// Only the file volume implements GroupSyncer, so mem-backend
+			// traces carry none of these events. A barrier is counted when
+			// it arrives but its batch only when the flush completes, so
+			// the baseline advances only when a batch is reported: no
+			// barrier is dropped, and summed over a run acks/batches is
+			// the exact mean batch.
 			cur := gs.SyncStats()
-			delta := cur.Sub(d.lastSync)
-			d.lastSync = cur
-			// Counters only move when the volume's commit pipeline is on,
-			// so off-mode traces carry no pipeline events and stay
-			// byte-identical.
-			if delta.Batches > 0 {
+			if delta := cur.Sub(d.lastSync); delta.Batches > 0 {
+				d.lastSync = cur
 				d.obs.Emit(obs.Event{
 					Kind:  obs.KindVolGroupCommit,
 					Pages: int32(delta.Batches),
-					Aux1:  delta.Barriers / delta.Batches,
 					Aux2:  delta.Barriers,
 				})
-			}
-			if delta.Fsyncs > 0 {
-				d.obs.Emit(obs.Event{
-					Kind: obs.KindVolFsync,
-					Aux1: delta.Fsyncs,
-				})
+				if delta.Fsyncs > 0 {
+					d.obs.Emit(obs.Event{
+						Kind: obs.KindVolFsync,
+						Aux1: delta.Fsyncs,
+					})
+				}
 			}
 		}
 	}

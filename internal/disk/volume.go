@@ -46,12 +46,11 @@ type Volume interface {
 	Close() error
 }
 
-// SyncStats are the cumulative durability counters of a backend that runs
-// a commit pipeline (group commit and/or async write-back). All counters
-// stay zero while the pipeline is disabled, which is how the Disk
-// decorator knows to emit no pipeline events on off-mode runs.
+// SyncStats are the cumulative durability counters of a backend that
+// batches concurrent barriers into shared device flushes (the file
+// volume). The in-memory backend has none.
 type SyncStats struct {
-	// Barriers counts Sync calls acknowledged through the pipeline.
+	// Barriers counts Sync calls.
 	Barriers int64
 	// Batches counts device-flush passes: each acknowledged one or more
 	// barriers. Barriers/Batches is the amortization factor.
@@ -74,7 +73,7 @@ func (s SyncStats) Sub(prev SyncStats) SyncStats {
 	}
 }
 
-// GroupSyncer is the optional Volume extension exposing commit-pipeline
+// GroupSyncer is the optional Volume extension exposing barrier
 // counters. The Disk decorator type-asserts for it after every Barrier and
 // turns non-zero deltas into vol.groupcommit / vol.fsync events.
 type GroupSyncer interface {

@@ -13,7 +13,7 @@
 // is released in exactly one place while logically inside an operation:
 // around the device flush of a durability barrier (the sync interposer),
 // which is what lets concurrent committers pile into the file backend's
-// group-commit batches. Each operation carries a private store.OpState so
+// commit groups. Each operation carries a private store.OpState so
 // operations parked at a barrier cannot corrupt each other's in-flight
 // free lists.
 package engine
@@ -128,8 +128,8 @@ func (e *Engine) addMetric(name string, delta int64) {
 
 // syncInterpose runs around the device flush of every durability barrier.
 // It releases storemu for exactly the flush duration so that other
-// committers reach their own barriers and the volume's group-commit
-// pipeline can batch them into one fsync. The current operation's OpState
+// committers reach their own barriers and queue behind the in-flight
+// flush, where the volume batches them into one commit group. The current operation's OpState
 // is parked first: another operation that runs — and possibly parks —
 // while this one waits must not see or mutate this one's in-flight state.
 func (e *Engine) syncInterpose(sync func() error) error {

@@ -8,8 +8,8 @@ import (
 
 // LatchedVolume serializes access to a volume implementation that is not
 // safe for concurrent use — the in-memory backend, whose WriteRun
-// reallocates area storage. The file backend does not need it: its commit
-// pipeline already guards every operation with its own mutex.
+// reallocates area storage. The file backend does not need it: the file
+// volume guards every operation with its own state mutex.
 //
 // Sync is deliberately passed through unlatched. The volume latch ranks
 // last in the engine lock order and must never be held across a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 
 	"lobstore/internal/disk"
 )
@@ -80,6 +81,23 @@ func (l *crashLog) clear() {
 	for k := range l.sizes {
 		delete(l.sizes, k)
 	}
+}
+
+// seal ends the current barrier interval: it hands back the interval's
+// entries, to be dropped once its flush succeeds, and leaves the log empty
+// for the writes that land while that flush is in flight.
+func (l *crashLog) seal() *crashLog {
+	sealed := &crashLog{pages: l.pages, sizes: l.sizes}
+	*l = *newCrashLog()
+	return sealed
+}
+
+// reopen folds a sealed interval whose flush failed back into the log. Its
+// entries predate the current interval's, so they win: the failed flush
+// made nothing durable, and a power cut must restore the older images.
+func (l *crashLog) reopen(sealed *crashLog) {
+	maps.Copy(l.pages, sealed.pages)
+	maps.Copy(l.sizes, sealed.sizes)
 }
 
 // rollback restores every logged pre-image and truncates each touched file

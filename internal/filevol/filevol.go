@@ -13,6 +13,11 @@
 // policy "never" trades crash consistency for speed and only syncs on
 // Close.
 //
+// Concurrency. Every method is safe for concurrent use: one state mutex
+// guards the areas, dirty flags, crash log and counters, and it is never
+// held across a barrier's device flush (see groupcommit.go), so reads,
+// writes and newly arriving barriers never wait on the device.
+//
 // Crash testing. With the crash log enabled the volume records the
 // pre-image of every page written since the last completed barrier, and an
 // armed power cut (FailAtBarrier) fires at a chosen barrier: all un-synced
@@ -27,6 +32,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"time"
 
 	"lobstore/internal/disk"
 )
@@ -81,27 +88,29 @@ var ErrReadOnly = errors.New("filevol: volume is read-only")
 var _ disk.Volume = (*Volume)(nil)
 var _ disk.GroupSyncer = (*Volume)(nil)
 
-// Volume is a file-backed disk.Volume. Without the commit pipeline it is
-// not safe for concurrent use (the single-threaded simulation path, kept
-// lock-free); WithGroupCommit or WithAsyncWriteback enable the pipeline,
-// whose mutex makes every method safe for concurrent callers.
+// Volume is a file-backed disk.Volume, safe for concurrent use.
 type Volume struct {
-	dir      string
-	pageSize int
-	policy   Policy
-	readOnly bool
-	areas    []*areaFile
+	dir       string
+	pageSize  int
+	policy    Policy
+	readOnly  bool
+	syncDelay time.Duration // test aid: added to every barrier flush
 
-	// pipe is the opt-in commit pipeline (group commit, async
-	// write-back); nil keeps the original lock-free single-threaded
-	// behavior byte-for-byte.
-	pipe *pipeline
+	mu    sync.Mutex // guards everything below
+	areas []*areaFile
+	stats disk.SyncStats // stats.Barriers numbers the Sync calls
+
+	// The barrier path (groupcommit.go): flushing is the group whose
+	// device flush is in flight, forming the group collecting barriers
+	// behind it; nil when none. idle is signalled when a flush ends.
+	flushing *commitGroup
+	forming  *commitGroup
+	idle     sync.Cond
 
 	// crash-injection state (nil / disabled in production use)
-	log      *crashLog
-	barriers int64 // completed Sync calls
-	failAt   int64 // barrier number that power-cuts; 0 = disarmed
-	dead     bool
+	log    *crashLog
+	failAt int64 // barrier number that power-cuts; 0 = disarmed
+	dead   bool
 }
 
 type areaFile struct {
@@ -142,6 +151,7 @@ func Open(dir string, pageSize int, opts ...Option) (*Volume, error) {
 		return nil, fmt.Errorf("filevol: page size %d must be positive", pageSize)
 	}
 	v := &Volume{dir: dir, pageSize: pageSize}
+	v.idle.L = &v.mu
 	for _, o := range opts {
 		o(v)
 	}
@@ -149,9 +159,6 @@ func Open(dir string, pageSize int, opts ...Option) (*Volume, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("filevol: creating %s: %w", dir, err)
 		}
-	}
-	if v.pipe != nil {
-		v.pipe.start()
 	}
 	return v, nil
 }
@@ -174,6 +181,8 @@ func (v *Volume) PageSize() int { return v.pageSize }
 // Areas must be added in the same fixed order on every opening, so the
 // file names are stable.
 func (v *Volume) AddArea(npages int) (disk.AreaID, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if npages <= 0 {
 		return 0, fmt.Errorf("filevol: area size %d must be positive", npages)
 	}
@@ -205,6 +214,8 @@ func (v *Volume) AddArea(npages int) (disk.AreaID, error) {
 
 // AreaPages returns the capacity of area id in pages.
 func (v *Volume) AreaPages(id disk.AreaID) (int, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	a, err := v.area(id)
 	if err != nil {
 		return 0, err
@@ -212,6 +223,7 @@ func (v *Volume) AreaPages(id disk.AreaID) (int, error) {
 	return a.npages, nil
 }
 
+// area looks up one area. v.mu must be held.
 func (v *Volume) area(id disk.AreaID) (*areaFile, error) {
 	if int(id) >= len(v.areas) {
 		return nil, fmt.Errorf("filevol: unknown area %d", id)
@@ -221,20 +233,9 @@ func (v *Volume) area(id disk.AreaID) (*areaFile, error) {
 
 // ReadRun preads npages adjacent pages into dst; the range past the file's
 // current end reads as zeros (pages never written hold no bytes yet).
-// Through the pipeline the read first fences the async writer, so queued
-// writes are always observed.
 func (v *Volume) ReadRun(addr disk.Addr, npages int, dst []byte) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-		if err := v.pipe.fence(); err != nil {
-			return err
-		}
-	}
-	return v.readRun(addr, npages, dst)
-}
-
-func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.dead {
 		return ErrPowerCut
 	}
@@ -254,17 +255,10 @@ func (v *Volume) readRun(addr disk.Addr, npages int, dst []byte) error {
 
 // WriteRun pwrites npages adjacent pages from src, growing the file as
 // needed. Under SyncAlways the write is forced to stable storage before
-// returning. With the async writer enabled (and a policy other than
-// SyncAlways) the pwrite is queued to the background writer instead and
-// the next barrier, read or close fences it; the crash-log pre-image is
-// still captured here, synchronously, which is safe because the first
-// write of a page per barrier interval can never have a queued write of
-// the same page ahead of it (the interval began with a fence).
+// returning.
 func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.dead {
 		return ErrPowerCut
 	}
@@ -282,11 +276,7 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 			return err
 		}
 	}
-	if v.pipe != nil && v.pipe.aw != nil && v.policy != SyncAlways {
-		if err := v.pipe.aw.enqueue(a.f, off, src[:n]); err != nil {
-			return err
-		}
-	} else if _, err := a.f.WriteAt(src[:n], off); err != nil {
+	if _, err := a.f.WriteAt(src[:n], off); err != nil {
 		return fmt.Errorf("filevol: write %v: %w", addr, err)
 	}
 	if end := off + int64(n); end > a.size {
@@ -307,14 +297,9 @@ func (v *Volume) WriteRun(addr disk.Addr, npages int, src []byte) error {
 
 // Grow extends area id's backing file to cover at least npages pages
 // without writing data (the extension is a sparse hole reading as zeros).
-// No fence is needed under the pipeline: Grow only ever extends (the
-// cached size already covers queued writes), and a concurrent extending
-// pwrite composes with Truncate-to-larger in either order.
 func (v *Volume) Grow(id disk.AreaID, npages int) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.dead {
 		return ErrPowerCut
 	}
@@ -340,89 +325,81 @@ func (v *Volume) Grow(id disk.AreaID, npages int) error {
 	return nil
 }
 
-// Sync is the durability barrier. Under SyncCommit it fsyncs every file
-// written since the last barrier; under SyncAlways and SyncNever it is a
-// no-op (the former is already durable, the latter opts out). An armed
-// power cut fires here: un-synced writes are rolled back and the volume
-// dies. Through the pipeline the barrier fences the async writer first
-// and may be acknowledged by another caller's flush (group commit).
-func (v *Volume) Sync() error {
-	if v.pipe != nil {
-		return v.pipe.barrier(v)
+// takeDirty clears and returns the dirty flags: the areas the next flush
+// must cover. v.mu must be held.
+func (v *Volume) takeDirty() []*areaFile {
+	var dirty []*areaFile
+	for _, a := range v.areas {
+		if a.dirty {
+			a.dirty = false
+			dirty = append(dirty, a)
+		}
 	}
-	if v.dead {
-		return ErrPowerCut
-	}
-	v.barriers++
-	if v.failAt > 0 && v.barriers >= v.failAt {
-		return v.powerCut()
-	}
-	if v.policy != SyncCommit {
-		return nil
-	}
-	_, err := v.syncDirty()
-	return err
+	return dirty
 }
 
-// syncDirty flushes (fdatasync) every file written since its last flush
-// and reports how many device flushes it issued.
-func (v *Volume) syncDirty() (int, error) {
-	flushes := 0
-	for id, a := range v.areas {
-		if !a.dirty {
-			continue
-		}
+// fsyncAreas flushes (fdatasync) each area, stopping at the first failure.
+// It touches no volume state, so it may run without v.mu.
+func fsyncAreas(areas []*areaFile) error {
+	for _, a := range areas {
 		if err := fdatasync(a.f); err != nil {
-			return flushes, fmt.Errorf("filevol: sync area %d: %w", id, err)
+			return fmt.Errorf("filevol: sync %s: %w", a.f.Name(), err)
 		}
-		a.dirty = false
-		flushes++
+	}
+	return nil
+}
+
+// markDirty puts the flags of a failed flush back: those areas still owe a
+// flush. v.mu must be held.
+func markDirty(areas []*areaFile) {
+	for _, a := range areas {
+		a.dirty = true
+	}
+}
+
+// syncDirty flushes every file written since its last flush. v.mu must be
+// held, with no barrier flush in flight.
+func (v *Volume) syncDirty() error {
+	dirty := v.takeDirty()
+	if err := fsyncAreas(dirty); err != nil {
+		markDirty(dirty)
+		return err
 	}
 	if v.log != nil {
 		v.log.clear()
 	}
-	return flushes, nil
+	return nil
+}
+
+// awaitFlush waits until no barrier flush is in flight. v.mu must be held;
+// it is released while waiting.
+func (v *Volume) awaitFlush() {
+	for v.flushing != nil {
+		v.idle.Wait()
+	}
 }
 
 // SyncAll forces everything to stable storage regardless of policy: the
 // clean-shutdown flush used by Close and checkpoints.
 func (v *Volume) SyncAll() error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-		if v.dead {
-			return ErrPowerCut
-		}
-		if err := v.pipe.fence(); err != nil {
-			return err
-		}
-		_, err := v.syncDirty()
-		return err
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.awaitFlush()
 	if v.dead {
 		return ErrPowerCut
 	}
-	_, err := v.syncDirty()
-	return err
+	return v.syncDirty()
 }
 
 // Close flushes (policy-independently, unless the volume is dead or
-// read-only), stops the pipeline, and closes every area file.
+// read-only) and closes every area file.
 func (v *Volume) Close() error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.awaitFlush()
 	var errs []error
-	if v.pipe != nil && !v.dead && !v.readOnly {
-		errs = append(errs, v.pipe.fence())
-	}
-	if v.pipe != nil {
-		v.pipe.stop()
-	}
 	if !v.dead && !v.readOnly {
-		_, err := v.syncDirty()
-		errs = append(errs, err)
+		errs = append(errs, v.syncDirty())
 	}
 	for id, a := range v.areas {
 		if a.f == nil {
@@ -439,37 +416,27 @@ func (v *Volume) Close() error {
 // Barriers returns the number of Sync calls so far. The crash matrix uses
 // it to enumerate an operation's barrier points.
 func (v *Volume) Barriers() int64 {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
-	return v.barriers
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats.Barriers
 }
 
-// SyncStats returns the commit pipeline's cumulative durability counters.
-// It is all zeros — and the disk decorator therefore emits no pipeline
-// events — when the pipeline is disabled, keeping off-mode traces
-// byte-identical.
+// SyncStats returns the cumulative barrier counters.
 func (v *Volume) SyncStats() disk.SyncStats {
-	if v.pipe == nil {
-		return disk.SyncStats{}
-	}
-	v.pipe.mu.Lock()
-	defer v.pipe.mu.Unlock()
-	return v.pipe.stats
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
 }
 
 // FailAtBarrier arms a power cut at the n-th Sync call from now (n ≥ 1):
 // that barrier rolls back all un-synced writes and returns ErrPowerCut, as
 // does every operation afterwards. Requires the crash log. n ≤ 0 disarms.
-// Through the pipeline a cut landing on any member of a commit group dooms
-// the whole group: the cut falls between the group's data writes and its
-// shared fsync, so no member is acknowledged.
+// A cut landing on any member of a commit group dooms the whole group: the
+// cut falls between the group's data writes and its shared flush, so no
+// member is acknowledged.
 func (v *Volume) FailAtBarrier(n int64) error {
-	if v.pipe != nil {
-		v.pipe.mu.Lock()
-		defer v.pipe.mu.Unlock()
-	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	if v.log == nil {
 		return fmt.Errorf("filevol: power-cut injection needs WithCrashLog")
 	}
@@ -477,11 +444,12 @@ func (v *Volume) FailAtBarrier(n int64) error {
 		v.failAt = 0
 		return nil
 	}
-	v.failAt = v.barriers + n
+	v.failAt = v.stats.Barriers + n
 	return nil
 }
 
 // powerCut rolls back every un-synced write and marks the volume dead.
+// v.mu must be held, with no barrier flush in flight.
 func (v *Volume) powerCut() error {
 	if err := v.log.rollback(v); err != nil {
 		return fmt.Errorf("filevol: power cut rollback: %w", err)

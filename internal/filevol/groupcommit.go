@@ -1,368 +1,163 @@
 package filevol
 
-import (
-	"fmt"
-	"os"
-	"sync"
-	"time"
+import "time"
 
-	"lobstore/internal/disk"
-)
-
-// This file is the volume's commit pipeline: the group-commit barrier
-// combiner and the asynchronous write-back writer. Both are opt-in
-// (WithGroupCommit / WithAsyncWriteback) and live entirely inside
-// filevol — the one package the determinism analyzer exempts from the
-// no-goroutines/no-sync rule — so the simulation layers above stay
-// single-threaded and the paper's cost accounting is untouched.
+// This file is the volume's barrier path: group commit derived from load.
 //
-// Group commit. Under policy "commit" every §3.3 barrier is one fsync,
-// and BENCH_volume.json shows that fsync dwarfs the pwrite it covers
-// (~166 µs vs ~2 µs per 4-page run). When N clients commit concurrently
-// those N fsyncs are redundant: one device flush covering all their
-// writes acknowledges every barrier. The combiner implements the classic
-// leader/follower split: the first barrier to arrive forms a commit
-// group and becomes its leader; barriers arriving while the group is
-// forming join as followers and park on the group's done channel. The
-// leader waits until the group is full (MaxBatch members) or MaxDelay
-// has passed, seals the group, runs ONE fence+fdatasync pass for every
-// dirty area, and broadcasts the outcome by closing done. Every member —
-// leader and followers alike — returns only after that shared flush, so
-// each acknowledged barrier carries exactly the durability §3.3 demands.
+// Under policy "commit" every §3.3 barrier needs a device flush, and
+// BENCH_volume.json shows that flush dwarfs the pwrite it covers. When
+// several clients commit at once one flush can acknowledge all of them,
+// so barriers are combined into commit groups by one rule:
 //
-// Async write-back. WriteRun normally pwrites on the caller's critical
-// path. With the background writer enabled the call captures its
-// crash-log pre-image, copies the payload onto a bounded FIFO queue and
-// returns; a single writer goroutine drains the queue with pwrites. The
-// hard flush-fence (pipeline.fence) drains the queue before anything
-// that must observe or make durable the file's true contents: every
-// barrier flush (so writes-before-commit ordering is exactly as in the
-// synchronous path), every ReadRun, and the rollback of an injected
-// power cut. Under policy "always" the queue is bypassed — a per-write
-// fsync serializes on the write anyway, so queueing could only add
-// copies.
+//	a commit group is every barrier that arrives while the previous
+//	group's flush is in flight.
 //
-// Per-policy behavior of a barrier through the pipeline:
+// Only one flush runs at a time. The first barrier to arrive while no
+// group is forming leads a new group; later arrivals join it and park on
+// its done channel. The leader waits for the in-flight flush (if any),
+// then, under the state mutex, seals the group, takes and clears the
+// dirty-area flags and starts a new crash-log interval. It runs
+// fdatasync with the mutex released, so reads, writes and new arrivals
+// never wait on the device, and broadcasts the outcome by closing done.
+// A lone client therefore flushes immediately, and the batch grows with
+// the number of committers queued behind the device — no size or delay
+// knob.
 //
-//	commit  fence the writer, then one fdatasync per dirty area for the
-//	        whole group — the case batching exists for;
-//	always  writes are already durable; the barrier only fences and
-//	        checks the armed power cut (no group forms, nothing to
-//	        amortize);
-//	never   fence only — ordering into the OS is preserved, durability
-//	        is declined, no group forms.
+// Ordering. A member's writes precede its Sync call, so when its group
+// is sealed they are either in the dirty set the group's flush covers or
+// were covered by the in-flight flush the leader waited for. Either way
+// every member returns only after a flush that includes its writes, which
+// is the durability §3.3 asks of a barrier. Writes that land while a
+// flush is in flight belong to the next interval: they re-mark their
+// area dirty, and the crash log records them against the new interval.
 //
-// Crash injection composes: an armed power cut that lands on any member
-// of a forming group dooms the whole group. The leader, instead of the
-// shared fsync, runs the power-cut rollback — the cut falls exactly
-// between the group's data writes and its shared fsync — so NO member is
-// acknowledged: every one returns ErrPowerCut, and the rolled-back files
-// hold precisely the state of the last acknowledged barrier.
+// Failure. If fdatasync fails, the group's areas are marked dirty again
+// and its sealed crash-log interval is folded back, so its pre-images
+// stay doomed; every member sees the error.
+//
+// Crash injection. An armed power cut that lands on any member dooms the
+// whole group. The leader waits for the in-flight flush — that group is
+// acknowledged and durable — and then runs the power-cut rollback
+// instead of a flush: the cut falls between the group's data writes and
+// its flush, so no member is acknowledged and every one returns
+// ErrPowerCut.
+//
+// Under policies "always" and "never" a barrier only counts itself and
+// checks the armed power cut: there is nothing to flush.
 
-// GroupCommit configures the barrier combiner.
-type GroupCommit struct {
-	// MaxBatch is the largest number of concurrent Sync calls one device
-	// flush may acknowledge. Values <= 1 disable batching: every barrier
-	// flushes for itself (the pipeline's bookkeeping still runs).
-	MaxBatch int
-	// MaxDelay bounds how long the leader holds the forming group open
-	// waiting for followers when the group is not yet full. Zero means
-	// the leader flushes immediately with whoever has already joined —
-	// no added latency, batching only under genuine contention.
-	MaxDelay time.Duration
-}
-
-// enabled reports whether barriers actually combine.
-func (g GroupCommit) enabled() bool { return g.MaxBatch > 1 }
-
-// WithGroupCommit enables the commit pipeline with group commit: N
-// concurrent commit-policy barriers are acknowledged by a single flush.
-// The volume becomes safe for concurrent use.
-func WithGroupCommit(g GroupCommit) Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.gc = g
-	}
-}
-
-// WithAsyncWriteback enables the commit pipeline with the background
-// write-back writer: WriteRun queues the pwrite instead of performing
-// it, and every barrier (or read) fences the queue first. The volume
-// becomes safe for concurrent use.
-func WithAsyncWriteback() Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.wantWriter = true
-	}
-}
-
-// WithSyncDelay injects artificial latency into every group flush.
-// Testing aid: it widens the window in which concurrent barriers pile
-// into one group, making batching deterministic enough to assert on.
-func WithSyncDelay(d time.Duration) Option {
-	return func(v *Volume) {
-		if v.pipe == nil {
-			v.pipe = &pipeline{}
-		}
-		v.pipe.syncDelay = d
-	}
-}
-
-// pipeline is the per-volume commit-pipeline state. Its mutex guards ALL
-// volume state (areas, dirty flags, sizes, crash log, barrier counters)
-// whenever the pipeline is enabled; without a pipeline the volume stays
-// lock-free and byte-for-byte on its original single-threaded paths.
-type pipeline struct {
-	mu         sync.Mutex
-	gc         GroupCommit
-	wantWriter bool
-	aw         *asyncWriter
-	cur        *commitGroup // forming group; nil when none
-	stats      disk.SyncStats
-	syncDelay  time.Duration
-}
-
-// commitGroup is one leader/follower batch of concurrent barriers.
+// commitGroup is one batch of barriers acknowledged by a single flush.
 type commitGroup struct {
 	members int
 	doomed  bool          // an armed power cut landed on a member
-	full    chan struct{} // closed when members reaches MaxBatch
-	done    chan struct{} // closed by the leader after the shared flush
-	err     error         // the shared outcome; set before done closes
+	done    chan struct{} // closed by the leader once err is set
+	err     error
+
+	// Set when the group is sealed: the areas its flush covers and the
+	// crash-log interval it makes durable.
+	dirty  []*areaFile
+	sealed *crashLog
 }
 
-// start launches the background writer if one was requested. Called once
-// from Open, before the volume is shared.
-func (p *pipeline) start() {
-	if p.wantWriter {
-		p.aw = newAsyncWriter()
-	}
+// WithSyncDelay injects artificial latency into every barrier flush.
+// Testing aid: it holds a flush in flight long enough for concurrent
+// barriers to pile up behind it deterministically.
+func WithSyncDelay(d time.Duration) Option {
+	return func(v *Volume) { v.syncDelay = d }
 }
 
-// fence is the hard flush-fence: it blocks until every queued write has
-// been handed to the OS. With no writer it is free.
-func (p *pipeline) fence() error {
-	if p.aw == nil {
-		return nil
-	}
-	return p.aw.drain()
-}
-
-// barrier is Volume.Sync through the pipeline. p.mu must NOT be held.
-func (p *pipeline) barrier(v *Volume) error {
-	p.mu.Lock()
-	if v.dead {
-		p.mu.Unlock()
-		return ErrPowerCut
-	}
-	v.barriers++
-	p.stats.Barriers++
-	doomed := v.failAt > 0 && v.barriers >= v.failAt
-	if v.policy != SyncCommit || !p.gc.enabled() {
-		err := p.flushLocked(v, doomed, 1)
-		p.mu.Unlock()
-		return err
-	}
-	if g := p.cur; g != nil {
-		// Follower: join the forming group and wait for its leader. The
-		// member that fills the batch seals the group so later arrivals
-		// form the next one — a group never exceeds MaxBatch.
-		g.members++
-		g.doomed = g.doomed || doomed
-		if g.members == p.gc.MaxBatch {
-			p.cur = nil
-			close(g.full)
+// Sync is the durability barrier. Under SyncCommit it returns once every
+// file written before the call is flushed, possibly by a flush another
+// caller led; under SyncAlways and SyncNever it is a no-op (the former is
+// already durable, the latter opts out). An armed power cut fires here:
+// un-synced writes are rolled back and the volume dies.
+func (v *Volume) Sync() error {
+	g, lead, err := v.join()
+	if !lead {
+		if g == nil {
+			return err
 		}
-		p.mu.Unlock()
 		<-g.done
 		return g.err
 	}
-	// Leader: open a group, hold it open for followers, flush once.
-	g := &commitGroup{
-		members: 1,
-		doomed:  doomed,
-		full:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	p.cur = g
-	if p.gc.MaxDelay > 0 && g.members < p.gc.MaxBatch {
-		p.mu.Unlock()
-		t := time.NewTimer(p.gc.MaxDelay)
-		select {
-		case <-g.full:
-		case <-t.C:
-		}
-		t.Stop()
-		p.mu.Lock()
-	}
-	if p.cur == g {
-		p.cur = nil // seal: later barriers form the next group
-	}
-	g.err = p.flushLocked(v, g.doomed, g.members)
-	p.mu.Unlock()
+	g.err = v.lead(g)
 	close(g.done)
 	return g.err
 }
 
-// flushLocked makes one group (possibly of one) durable: fence the
-// writer, fire a doomed power cut, then fdatasync per policy. p.mu held.
-func (p *pipeline) flushLocked(v *Volume, doomed bool, members int) error {
-	if err := p.fence(); err != nil {
+// join counts one barrier and, under SyncCommit, adds it to the forming
+// commit group, opening a new group — and leading it — when none is
+// forming. g is nil when the barrier has nothing to wait for.
+func (v *Volume) join() (g *commitGroup, lead bool, err error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.dead {
+		return nil, false, ErrPowerCut
+	}
+	v.stats.Barriers++
+	doomed := v.failAt > 0 && v.stats.Barriers >= v.failAt
+	if v.policy != SyncCommit {
+		if doomed {
+			return nil, false, v.powerCut()
+		}
+		return nil, false, nil
+	}
+	if g = v.forming; g == nil {
+		g = &commitGroup{done: make(chan struct{})}
+		v.forming = g
+		lead = true
+	}
+	g.members++
+	g.doomed = g.doomed || doomed
+	return g, lead, nil
+}
+
+// lead makes g durable with one flush, or rolls it back if doomed.
+func (v *Volume) lead(g *commitGroup) error {
+	if err := v.seal(g); err != nil {
 		return err
 	}
-	if doomed {
+	if v.syncDelay > 0 {
+		time.Sleep(v.syncDelay)
+	}
+	err := fsyncAreas(g.dirty)
+	v.settle(g, err)
+	return err
+}
+
+// seal waits until no flush is in flight, closes g to new members and
+// claims the flush for it: g takes the dirty-area flags and the current
+// crash-log interval. A doomed group runs the power cut instead.
+func (v *Volume) seal(g *commitGroup) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.awaitFlush()
+	v.forming = nil
+	if g.doomed {
 		return v.powerCut()
 	}
-	if v.policy != SyncCommit {
-		return nil
+	g.dirty = v.takeDirty()
+	if v.log != nil {
+		g.sealed = v.log.seal()
 	}
-	if p.syncDelay > 0 {
-		time.Sleep(p.syncDelay)
-	}
-	n, err := v.syncDirty()
+	v.flushing = g
+	return nil
+}
+
+// settle records the outcome of g's flush and frees the flush slot. On
+// failure g's areas still owe a flush and its pre-images stay doomed.
+func (v *Volume) settle(g *commitGroup, err error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.flushing = nil
+	v.idle.Broadcast()
 	if err != nil {
-		return err
-	}
-	p.stats.Batches++
-	p.stats.Fsyncs += int64(n)
-	if int64(members) > p.stats.MaxBatch {
-		p.stats.MaxBatch = int64(members)
-	}
-	return nil
-}
-
-// stop shuts the background writer down after draining it. p.mu held.
-func (p *pipeline) stop() {
-	if p.aw != nil {
-		p.aw.stop()
-		p.aw = nil
-	}
-}
-
-// asyncWriter is the background write-back writer: a bounded FIFO of
-// pending pwrites drained by one goroutine. The first write error is
-// sticky — it fails the fence (and with it the barrier or read that
-// fenced), every later enqueue, and stays until the volume is closed,
-// exactly like an in-line pwrite failure would poison the operation.
-type asyncWriter struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []pendingWrite
-	queued   int // payload bytes on the queue, for backpressure
-	inflight bool
-	err      error
-	closed   bool
-	exited   chan struct{}
-}
-
-type pendingWrite struct {
-	f    *os.File
-	off  int64
-	data []byte
-}
-
-// maxQueuedBytes bounds the queue's payload: an enqueue over the cap
-// blocks until the writer catches up, so a burst of writes cannot grow
-// the heap without bound.
-const maxQueuedBytes = 4 << 20
-
-func newAsyncWriter() *asyncWriter {
-	w := &asyncWriter{exited: make(chan struct{})}
-	w.cond = sync.NewCond(&w.mu)
-	go w.run()
-	return w
-}
-
-// run drains the queue until stop. Writes keep draining after an error —
-// the queue must empty for stop to return — but only the first error is
-// kept. The pwrite itself runs outside the lock (inflight keeps drain
-// honest), so enqueues never serialize on the device.
-func (w *asyncWriter) run() {
-	defer close(w.exited)
-	for {
-		pw, ok := w.next()
-		if !ok {
-			return
+		markDirty(g.dirty)
+		if g.sealed != nil {
+			v.log.reopen(g.sealed)
 		}
-		_, err := pw.f.WriteAt(pw.data, pw.off)
-		w.complete(pw, err)
+		return
 	}
-}
-
-// next blocks until work or shutdown, pops the front write and marks it
-// in flight. ok is false when the writer should exit: closed and drained.
-func (w *asyncWriter) next() (pw pendingWrite, ok bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.queue) == 0 && !w.closed {
-		w.cond.Wait()
-	}
-	if len(w.queue) == 0 {
-		return pendingWrite{}, false
-	}
-	pw = w.queue[0]
-	w.queue[0] = pendingWrite{} // release the payload
-	w.queue = w.queue[1:]
-	if len(w.queue) == 0 {
-		w.queue = nil // let the drained backing array go
-	}
-	w.inflight = true
-	return pw, true
-}
-
-// complete records one finished pwrite and wakes fences and backpressured
-// enqueuers.
-func (w *asyncWriter) complete(pw pendingWrite, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.inflight = false
-	w.queued -= len(pw.data)
-	if err != nil && w.err == nil {
-		w.err = fmt.Errorf("filevol: async write at offset %d: %w", pw.off, err)
-	}
-	w.cond.Broadcast()
-}
-
-// enqueue copies data onto the queue (the caller reuses its buffer),
-// blocking while the queue is over its byte cap.
-func (w *asyncWriter) enqueue(f *os.File, off int64, data []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.err == nil && w.queued > maxQueuedBytes {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return w.err
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	w.queue = append(w.queue, pendingWrite{f: f, off: off, data: cp})
-	w.queued += len(cp)
-	w.cond.Broadcast()
-	return nil
-}
-
-// drain blocks until the queue is empty and no write is in flight — the
-// flush-fence — and returns the sticky error, if any.
-func (w *asyncWriter) drain() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.err == nil && (len(w.queue) > 0 || w.inflight) {
-		w.cond.Wait()
-	}
-	return w.err
-}
-
-// stop drains the queue and joins the writer goroutine. Any sticky error
-// was (or will be) surfaced by a fence; stop itself cannot fail.
-func (w *asyncWriter) stop() {
-	w.mu.Lock()
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	<-w.exited
+	v.stats.Batches++
+	v.stats.Fsyncs += int64(len(g.dirty))
+	v.stats.MaxBatch = max(v.stats.MaxBatch, int64(g.members))
 }

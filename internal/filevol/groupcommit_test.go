@@ -11,55 +11,141 @@ import (
 	"lobstore/internal/disk"
 )
 
-// TestGroupCommitBatches pins the leader/follower mechanics: with a batch
-// of 4 and a generous delay, 4 concurrent barriers must be acknowledged by
-// exactly one flush pass.
+// flushDelay holds every barrier flush in flight long enough for a test to
+// line barriers up behind it.
+const flushDelay = 300 * time.Millisecond
+
+// waitUntil polls cond under the volume's state mutex until it holds.
+func waitUntil(t *testing.T, v *Volume, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v.mu.Lock()
+		ok := cond()
+		v.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// startCommit writes one page and runs a barrier in the background; the
+// barrier's outcome arrives on the returned channel.
+func startCommit(v *Volume, p disk.PageID, fill byte) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		if err := v.WriteRun(disk.Addr{Page: p}, 1, page(fill)); err != nil {
+			done <- err
+			return
+		}
+		done <- v.Sync()
+	}()
+	return done
+}
+
+// startBehindFlush starts one barrier writing page 1, waits until its
+// flush is in flight, optionally arms a power cut for the next barrier,
+// then starts k more writing pages 2..k+1 and waits until all k have
+// joined the group forming behind the flush. It returns the first
+// barrier's outcome and the k others.
+func startBehindFlush(t *testing.T, v *Volume, k int, armCut bool) (<-chan error, []<-chan error) {
+	t.Helper()
+	first := startCommit(v, 1, 0x77)
+	waitUntil(t, v, "the first flush", func() bool { return v.flushing != nil })
+	if armCut {
+		if err := v.FailAtBarrier(1); err != nil {
+			t.Fatalf("FailAtBarrier: %v", err)
+		}
+	}
+	rest := make([]<-chan error, k)
+	for i := range rest {
+		rest[i] = startCommit(v, disk.PageID(2+i), 0xEE)
+	}
+	waitUntil(t, v, "the group behind the flush", func() bool {
+		return v.forming != nil && v.forming.members == k
+	})
+	v.mu.Lock()
+	inFlight := v.flushing != nil
+	v.mu.Unlock()
+	if !inFlight {
+		t.Fatalf("first flush finished before %d barriers lined up; raise flushDelay", k)
+	}
+	return first, rest
+}
+
+// TestGroupCommitBatches pins the batch rule: while one flush is in
+// flight, K barriers arrive and are all acknowledged by exactly one more
+// flush — no size or delay setting involved.
 func TestGroupCommitBatches(t *testing.T) {
-	v := openTest(t, t.TempDir(),
-		WithPolicy(SyncCommit),
-		WithGroupCommit(GroupCommit{MaxBatch: 4, MaxDelay: 5 * time.Second}))
+	v := openTest(t, t.TempDir(), WithPolicy(SyncCommit), WithSyncDelay(flushDelay))
 	defer v.Close()
 	if _, err := v.AddArea(64); err != nil {
 		t.Fatalf("AddArea: %v", err)
 	}
 
-	const callers = 4
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := v.WriteRun(disk.Addr{Page: disk.PageID(i)}, 1, page(byte(i))); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = v.Sync()
-		}(i)
+	const k = 4
+	first, rest := startBehindFlush(t, v, k, false)
+	if err := <-first; err != nil {
+		t.Fatalf("first barrier: %v", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
+	for i, c := range rest {
+		if err := <-c; err != nil {
+			t.Fatalf("barrier %d: %v", i, err)
 		}
 	}
 
 	s := v.SyncStats()
-	if s.Barriers != callers {
-		t.Fatalf("Barriers = %d, want %d", s.Barriers, callers)
+	if s.Barriers != k+1 {
+		t.Fatalf("Barriers = %d, want %d", s.Barriers, k+1)
 	}
-	if s.Batches != 1 {
-		t.Fatalf("Batches = %d, want 1 (one shared flush)", s.Batches)
+	if s.Batches != 2 {
+		t.Fatalf("Batches = %d, want 2 (the in-flight flush and one for the group behind it)", s.Batches)
 	}
-	if s.MaxBatch != callers {
-		t.Fatalf("MaxBatch = %d, want %d", s.MaxBatch, callers)
+	if s.MaxBatch != k {
+		t.Fatalf("MaxBatch = %d, want %d", s.MaxBatch, k)
 	}
-	if s.Fsyncs != 1 {
-		t.Fatalf("Fsyncs = %d, want 1 (one dirty area)", s.Fsyncs)
+	if s.Fsyncs != 2 {
+		t.Fatalf("Fsyncs = %d, want 2 (one dirty area per flush)", s.Fsyncs)
 	}
 }
 
-// TestGroupCommitHammer is the -race combiner hammer: concurrent callers ×
+// TestFlushDoesNotBlockIO pins that the device flush runs outside the
+// state mutex: reads and writes issued while a barrier's flush is in
+// flight complete before that barrier returns.
+func TestFlushDoesNotBlockIO(t *testing.T) {
+	v := openTest(t, t.TempDir(), WithPolicy(SyncCommit), WithSyncDelay(flushDelay))
+	defer v.Close()
+	if _, err := v.AddArea(64); err != nil {
+		t.Fatalf("AddArea: %v", err)
+	}
+
+	barrier := startCommit(v, 0, 0x22)
+	waitUntil(t, v, "the flush", func() bool { return v.flushing != nil })
+	got := make([]byte, pageSize)
+	if err := v.ReadRun(disk.Addr{Page: 0}, 1, got); err != nil {
+		t.Fatalf("ReadRun: %v", err)
+	}
+	if !bytes.Equal(got, page(0x22)) {
+		t.Fatalf("read during the flush missed the flushed write")
+	}
+	if err := v.WriteRun(disk.Addr{Page: 1}, 1, page(0x33)); err != nil {
+		t.Fatalf("WriteRun: %v", err)
+	}
+	select {
+	case err := <-barrier:
+		t.Fatalf("barrier returned (err %v) before the I/O issued during its flush", err)
+	default:
+	}
+	if err := <-barrier; err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+}
+
+// TestGroupCommitHammer is the -race barrier-path hammer: concurrent callers ×
 // every policy × injected flush latency, asserting exactly-once
 // acknowledgement — every Sync call is counted once in Barriers, every
 // commit-policy barrier is covered by some batch, and no barrier returns
@@ -72,8 +158,6 @@ func TestGroupCommitHammer(t *testing.T) {
 			t.Parallel()
 			v := openTest(t, t.TempDir(),
 				WithPolicy(pol),
-				WithGroupCommit(GroupCommit{MaxBatch: 8, MaxDelay: time.Millisecond}),
-				WithAsyncWriteback(),
 				WithSyncDelay(200*time.Microsecond))
 			defer v.Close()
 			if _, err := v.AddArea(256); err != nil {
@@ -120,11 +204,11 @@ func TestGroupCommitHammer(t *testing.T) {
 				if s.Batches == 0 || s.Batches > s.Barriers {
 					t.Fatalf("Batches = %d out of range (1..%d)", s.Batches, s.Barriers)
 				}
-				if s.MaxBatch < 1 || s.MaxBatch > 8 {
-					t.Fatalf("MaxBatch = %d, want 1..8", s.MaxBatch)
+				if s.MaxBatch < 1 || s.MaxBatch > workers {
+					t.Fatalf("MaxBatch = %d, want 1..%d", s.MaxBatch, workers)
 				}
 			default:
-				// always/never barriers do not flush through the combiner.
+				// always/never barriers have nothing to flush.
 				if s.Batches != 0 || s.Fsyncs != 0 {
 					t.Fatalf("policy %v flushed: %+v", pol, s)
 				}
@@ -133,16 +217,13 @@ func TestGroupCommitHammer(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDoomedGroup pins the crash semantics: a power cut armed
-// to land inside a commit group dooms every member — none is acknowledged,
-// all see ErrPowerCut — and the files roll back to the last acknowledged
-// barrier exactly.
+// TestGroupCommitDoomedGroup pins the crash semantics of a group that
+// formed behind an in-flight flush: a power cut armed to land on it
+// leaves the in-flight group acknowledged and durable, while every member
+// of the doomed group sees ErrPowerCut and its writes are rolled back.
 func TestGroupCommitDoomedGroup(t *testing.T) {
 	dir := t.TempDir()
-	v := openTest(t, dir,
-		WithPolicy(SyncCommit),
-		WithCrashLog(),
-		WithGroupCommit(GroupCommit{MaxBatch: 3, MaxDelay: 5 * time.Second}))
+	v := openTest(t, dir, WithPolicy(SyncCommit), WithCrashLog(), WithSyncDelay(flushDelay))
 	if _, err := v.AddArea(64); err != nil {
 		t.Fatalf("AddArea: %v", err)
 	}
@@ -156,29 +237,15 @@ func TestGroupCommitDoomedGroup(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 
-	// The cut lands on the next barrier — i.e. inside the next group,
-	// between its members' data writes and their shared fsync.
-	if err := v.FailAtBarrier(1); err != nil {
-		t.Fatalf("FailAtBarrier: %v", err)
-	}
-
+	// Barrier 2 is in flight when the cut is armed; it lands on barrier 3,
+	// the first member of the group forming behind it.
 	const members = 3
-	var wg sync.WaitGroup
-	errs := make([]error, members)
-	for i := 0; i < members; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := v.WriteRun(disk.Addr{Page: disk.PageID(1 + i)}, 1, page(0xEE)); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = v.Sync()
-		}(i)
+	first, doomed := startBehindFlush(t, v, members, true)
+	if err := <-first; err != nil {
+		t.Fatalf("in-flight barrier: %v", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, ErrPowerCut) {
+	for i, c := range doomed {
+		if err := <-c; !errors.Is(err, ErrPowerCut) {
 			t.Fatalf("member %d acknowledged across a power cut: err = %v", i, err)
 		}
 	}
@@ -186,7 +253,7 @@ func TestGroupCommitDoomedGroup(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen as a fresh process would: the acknowledged barrier's data is
+	// Reopen as a fresh process would: both acknowledged barriers' data is
 	// intact, the doomed group's writes are gone.
 	v2 := openTest(t, dir)
 	defer v2.Close()
@@ -194,65 +261,20 @@ func TestGroupCommitDoomedGroup(t *testing.T) {
 		t.Fatalf("reopen AddArea: %v", err)
 	}
 	got := make([]byte, pageSize)
-	if err := v2.ReadRun(disk.Addr{Page: 0}, 1, got); err != nil {
-		t.Fatalf("ReadRun: %v", err)
+	for p, want := range [][]byte{committed, page(0x77)} {
+		if err := v2.ReadRun(disk.Addr{Page: disk.PageID(p)}, 1, got); err != nil {
+			t.Fatalf("ReadRun page %d: %v", p, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("acknowledged page %d lost by the cut", p)
+		}
 	}
-	if !bytes.Equal(got, committed) {
-		t.Fatalf("acknowledged page lost by the cut")
-	}
-	for p := 1; p <= members; p++ {
+	for p := 2; p < 2+members; p++ {
 		if err := v2.ReadRun(disk.Addr{Page: disk.PageID(p)}, 1, got); err != nil {
 			t.Fatalf("ReadRun page %d: %v", p, err)
 		}
 		if !bytes.Equal(got, make([]byte, pageSize)) {
 			t.Fatalf("unacknowledged page %d survived the cut", p)
 		}
-	}
-}
-
-// TestAsyncWritebackOrdering pins the flush-fence: reads and barriers must
-// observe every queued write, and a clean Close drains the queue.
-func TestAsyncWritebackOrdering(t *testing.T) {
-	dir := t.TempDir()
-	v := openTest(t, dir, WithPolicy(SyncCommit), WithAsyncWriteback())
-	if _, err := v.AddArea(64); err != nil {
-		t.Fatalf("AddArea: %v", err)
-	}
-
-	want := make([]byte, 0, 8*pageSize)
-	for i := 0; i < 8; i++ {
-		p := page(byte(0x10 + i))
-		want = append(want, p...)
-		if err := v.WriteRun(disk.Addr{Page: disk.PageID(i)}, 1, p); err != nil {
-			t.Fatalf("WriteRun: %v", err)
-		}
-	}
-	// ReadRun fences: it must see all eight queued pages.
-	got := make([]byte, 8*pageSize)
-	if err := v.ReadRun(disk.Addr{Page: 0}, 8, got); err != nil {
-		t.Fatalf("ReadRun: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("read raced the write-back queue")
-	}
-	if err := v.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if err := v.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// The bytes survived the writer shutdown.
-	v2 := openTest(t, dir)
-	defer v2.Close()
-	if _, err := v2.AddArea(64); err != nil {
-		t.Fatalf("reopen AddArea: %v", err)
-	}
-	got2 := make([]byte, 8*pageSize)
-	if err := v2.ReadRun(disk.Addr{Page: 0}, 8, got2); err != nil {
-		t.Fatalf("reopen ReadRun: %v", err)
-	}
-	if !bytes.Equal(got2, want) {
-		t.Fatalf("queued writes lost across Close/Open")
 	}
 }

@@ -107,7 +107,7 @@ const (
 	KindLeafSplit
 	KindLeafMerge
 	KindExtentDouble
-	// Durable volume commit pipeline (group commit / async write-back).
+	// Durable volume barriers: commit-group flushes and device flushes.
 	KindVolGroupCommit
 	KindVolFsync
 	numKinds
@@ -175,9 +175,9 @@ func ParseKind(s string) (Kind, bool) {
 //	leaf.split        Aux1 = resulting leaf count
 //	leaf.merge        —
 //	extent.double     Aux1 = next extent size in pages
-//	vol.groupcommit   Pages = flush batches since the last emission, Aux1 =
-//	                  average barriers acknowledged per batch, Aux2 = total
-//	                  barriers acknowledged
+//	vol.groupcommit   Pages = flush batches since the last emission, Aux2 =
+//	                  barriers counted since then (summed over a run,
+//	                  Aux2/Pages is the mean batch)
 //	vol.fsync         Aux1 = device flushes issued since the last emission
 //	span.begin        Op/Span of the new span
 //	span.end          Aux1 = span duration in simulated µs, Wall = span

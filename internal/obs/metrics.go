@@ -70,7 +70,6 @@ var (
 	latencyBounds = []int64{100, 500, 1000, 5000, 10_000, 50_000, 100_000,
 		500_000, 1_000_000, 5_000_000, 20_000_000} // µs
 	depthBounds = []int64{1, 2, 3, 4, 6, 8}
-	batchBounds = []int64{1, 2, 4, 8, 16, 32, 64}
 )
 
 // Metrics is an aggregating sink: counters plus fixed-bucket histograms of
@@ -84,12 +83,11 @@ type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
 
-	IOSize     *Histogram // pages moved per I/O call
-	Seek       *Histogram // pages of head movement per I/O call
-	Depth      *Histogram // index pages touched per tree descent
-	WriteRun   *Histogram // pages per coalesced write-back call
-	GroupBatch *Histogram // barriers acknowledged per group-commit flush
-	OpLat      [numOps]*Histogram
+	IOSize   *Histogram // pages moved per I/O call
+	Seek     *Histogram // pages of head movement per I/O call
+	Depth    *Histogram // index pages touched per tree descent
+	WriteRun *Histogram // pages per coalesced write-back call
+	OpLat    [numOps]*Histogram
 	// OpSim/OpWall track span latency percentiles per operation: simulated
 	// µs (Event.Aux1) and wall-clock µs (Event.Wall). Created together with
 	// the matching OpLat entry; wall histograms only fill when the span
@@ -111,14 +109,13 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters:   make(map[string]int64),
-		IOSize:     NewHistogram("io.size", "pages", ioSizeBounds),
-		Seek:       NewHistogram("io.seek", "pages", seekBounds),
-		Depth:      NewHistogram("tree.descend.depth", "pages", depthBounds),
-		WriteRun:   NewHistogram("buf.writerun.pages", "pages", ioSizeBounds),
-		GroupBatch: NewHistogram("vol.groupcommit.batch", "acks", batchBounds),
-		LockWait:   NewHDR(),
-		EpochHold:  NewHDR(),
+		counters:  make(map[string]int64),
+		IOSize:    NewHistogram("io.size", "pages", ioSizeBounds),
+		Seek:      NewHistogram("io.seek", "pages", seekBounds),
+		Depth:     NewHistogram("tree.descend.depth", "pages", depthBounds),
+		WriteRun:  NewHistogram("buf.writerun.pages", "pages", ioSizeBounds),
+		LockWait:  NewHDR(),
+		EpochHold: NewHDR(),
 	}
 }
 
@@ -251,11 +248,10 @@ func (m *Metrics) Record(e Event) {
 	case KindExtentDouble:
 		m.add("extent.doublings", 1)
 	case KindVolGroupCommit:
-		// Pages = batches in the delta, Aux1 = average acks/batch, Aux2 =
-		// total barriers acknowledged (see the event field table).
+		// Pages = batches in the delta, Aux2 = barriers counted (see the
+		// event field table); over a run, acks/batches is the mean batch.
 		m.add("vol.groupcommit.batches", int64(e.Pages))
 		m.add("vol.groupcommit.acks", e.Aux2)
-		m.GroupBatch.Observe(e.Aux1)
 	case KindVolFsync:
 		m.add("vol.fsyncs", e.Aux1)
 	}
@@ -332,7 +328,7 @@ func (m *Metrics) WallLatency(op Op) *HDR {
 }
 
 func (m *Metrics) histograms() []*Histogram {
-	hs := []*Histogram{m.IOSize, m.Seek, m.Depth, m.WriteRun, m.GroupBatch}
+	hs := []*Histogram{m.IOSize, m.Seek, m.Depth, m.WriteRun}
 	for op := Op(0); op < numOps; op++ {
 		if m.created[op] {
 			hs = append(hs, m.OpLat[op])

@@ -27,17 +27,14 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:7431", "TCP listen address")
-		backend   = fs.String("backend", "mem", "byte-storage backend: mem or file")
-		dir       = fs.String("dir", "", "directory of the file-backed database (backend file)")
-		sync      = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
-		coalesce  = fs.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
-		groupMax  = fs.Int("group-commit", 0, "file-backend group commit: max barriers per device flush (0 = off)")
-		groupWait = fs.Duration("group-delay", 0, "file-backend group commit: max wait for a batch to fill")
-		asyncWB   = fs.Bool("async-writeback", false, "file-backend: move pwrites onto a background writer")
-		bufPages  = fs.Int("buffer-pages", 0, "buffer pool size in pages (0 = concurrent minimum)")
-		workers   = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
-		chunk     = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
+		addr     = fs.String("addr", "127.0.0.1:7431", "TCP listen address")
+		backend  = fs.String("backend", "mem", "byte-storage backend: mem or file")
+		dir      = fs.String("dir", "", "directory of the file-backed database (backend file)")
+		sync     = fs.String("sync", "commit", "file-backend fsync policy: always, commit or never")
+		coalesce = fs.Bool("coalesce", false, "enable elevator write coalescing and sequential read-ahead")
+		bufPages = fs.Int("buffer-pages", 0, "buffer pool size in pages (0 = concurrent minimum)")
+		workers  = fs.Int("workers", 0, "request-executing goroutines per connection (0 = default)")
+		chunk    = fs.Int("chunk", 0, "streaming-read frame payload bytes (0 = default 64KiB)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -46,8 +43,6 @@ func RunServe(prog string, args []string, stderr io.Writer) int {
 	cfg := lobstore.DefaultConfig()
 	cfg.Backend, cfg.Dir, cfg.SyncPolicy = *backend, *dir, *sync
 	cfg.Coalesce = *coalesce
-	cfg.GroupCommit = lobstore.GroupCommit{MaxBatch: *groupMax, MaxDelay: *groupWait}
-	cfg.AsyncWriteback = *asyncWB
 	// The server requires the concurrency engine; the pool floor is the
 	// engine's documented minimum unless the user asks for more.
 	cfg.Concurrent = true

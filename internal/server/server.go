@@ -8,10 +8,10 @@
 //   - Pipelining. A connection's requests are decoded by one reader
 //     goroutine and executed by a small pool of per-connection workers;
 //     responses are matched to requests by id, so they may complete out
-//     of order. A committer parked at a group-commit barrier therefore
+//     of order. A committer parked at a durability barrier therefore
 //     never head-of-line-blocks a read that arrived behind it on the
 //     same socket — the read overtakes it through another worker while
-//     the barrier waits for company.
+//     the barrier waits for its flush.
 //
 //   - Zero-copy streaming reads. A large read is answered as a stream
 //     of chunked RespData frames. Chunk buffers and frame headers come
@@ -23,8 +23,8 @@
 //     package.
 //
 //   - Write batching. Mutations run on worker goroutines, so commits
-//     from many connections overlap inside the engine and pile into the
-//     file volume's group-commit batches (PR 8); the server adds no
+//     from many connections overlap inside the engine and share the
+//     file volume's device flushes (its commit groups); the server adds no
 //     serialization of its own beyond the engine's per-object FIFO.
 //
 // Lock order: the server's connection-layer lock (connmu) is above

@@ -15,7 +15,7 @@ import (
 
 // TestServeKillReopen is the end-to-end crash smoke test of the network
 // stack: a child process runs the real serve entry point (RunServe, the
-// code path of cmd/lobserve) on a file-backed store with group commit, the
+// code path of cmd/lobserve) on a file-backed store at its defaults, the
 // parent drives a mixed open-ended workload through loadgen, SIGKILLs the
 // server mid-traffic, and then requires the directory to reopen with a
 // clean fsck — the durable state must be crash-consistent no matter where
@@ -27,7 +27,6 @@ func TestServeKillReopen(t *testing.T) {
 		os.Exit(RunServe("lobserve", []string{
 			"-addr", "127.0.0.1:0",
 			"-backend", "file", "-dir", dir,
-			"-group-commit", "4", "-group-delay", "2ms",
 		}, os.Stderr))
 	}
 	if testing.Short() {

@@ -541,10 +541,9 @@ func (s *Store) readPageInto(a disk.Addr, dst []byte) error {
 // SyncBarrier forces every byte written so far to stable storage, subject
 // to the volume's sync policy. Free (and event-silent) on the in-memory
 // backend, so barrier placement never changes mem-backend cost output. On
-// a file backend running the commit pipeline this call may be
-// acknowledged by another committer's shared fsync (group commit) and
-// first fences the async write-back queue — either way it returns only
-// once everything written before it is durable, which is all the §3.3
+// the file backend this call may be acknowledged by another committer's
+// shared flush (group commit) — either way it returns only once
+// everything written before it is durable, which is all the §3.3
 // protocol relies on.
 func (s *Store) SyncBarrier() error { return s.Disk.Barrier() }
 

@@ -127,16 +127,18 @@ type Config struct {
 	// (see DB.InjectPowerCut). Testing aid: every write then pays an extra
 	// read to log its pre-image.
 	CrashInjection bool
-	// GroupCommit configures the file backend's barrier combiner: up to
-	// MaxBatch concurrent commit barriers are acknowledged by one device
-	// flush. Zero value = off. Like Coalesce it is a per-opening I/O
-	// scheduling choice, not superblock geometry. Ignored by the mem
-	// backend.
+	// GroupCommit configured the file backend's old barrier combiner.
+	//
+	// Deprecated: the file volume now batches concurrent commit barriers
+	// from load alone — every barrier that arrives while a flush is in
+	// flight shares the next one — so there is nothing left to tune. Open
+	// rejects any non-zero value with an ErrConfig-wrapped error.
 	GroupCommit GroupCommit
-	// AsyncWriteback moves the file backend's pwrites onto a background
-	// writer goroutine; every durability barrier still fences the queue
-	// first, so §3.3 ordering is unchanged. Off by default; per-opening;
-	// ignored by the mem backend.
+	// AsyncWriteback moved the file backend's pwrites onto a background
+	// writer.
+	//
+	// Deprecated: the background writer is gone; Open rejects true with
+	// an ErrConfig-wrapped error.
 	AsyncWriteback bool
 	// Concurrent serves the database through the concurrency engine
 	// (internal/engine): object handles become safe for concurrent use
@@ -146,26 +148,22 @@ type Config struct {
 	// every code path, trace and paper table is byte-identical to a build
 	// without the engine; the simulation stays single-threaded and
 	// deterministic. Like Coalesce it is a per-opening choice, not
-	// superblock geometry. On the file backend the commit pipeline is
-	// engaged (at batch size 1 if GroupCommit is off) so the volume is
-	// safe for concurrent committers. Size BufferPages generously: every
-	// committer parked at a durability barrier keeps its dirty pages
-	// sticky (shadow-protected) in the shared pool, so the paper's
-	// 12-frame configuration starves once a handful of commits overlap —
-	// Open enforces BufferPages >= MinConcurrentBufferPages (wrapping
-	// ErrConfig) rather than letting FixRun fail mid-commit.
+	// superblock geometry. The file volume is always safe for concurrent
+	// committers, and their barriers share device flushes whenever they
+	// overlap. Size BufferPages generously: every committer parked at a
+	// durability barrier keeps its dirty pages sticky (shadow-protected)
+	// in the shared pool, so the paper's 12-frame configuration starves
+	// once a handful of commits overlap — Open enforces BufferPages >=
+	// MinConcurrentBufferPages (wrapping ErrConfig) rather than letting
+	// FixRun fail mid-commit.
 	Concurrent bool
 }
 
-// GroupCommit configures the file backend's group-commit barrier combiner
-// (see internal/filevol).
+// GroupCommit is the type of the deprecated Config.GroupCommit.
+//
+// Deprecated: only the zero value is accepted; see Config.GroupCommit.
 type GroupCommit struct {
-	// MaxBatch is the largest number of concurrent commit barriers one
-	// device flush may acknowledge. Values <= 1 leave batching off.
 	MaxBatch int
-	// MaxDelay bounds how long the first barrier in a batch waits for
-	// company when the batch is not full. Zero = flush immediately with
-	// whoever already joined.
 	MaxDelay time.Duration
 }
 
@@ -308,6 +306,9 @@ const MinConcurrentBufferPages = 64
 func Open(cfg Config) (*DB, error) {
 	if cfg.MaxSegmentPages < 1 || bits.OnesCount(uint(cfg.MaxSegmentPages)) != 1 {
 		return nil, fmt.Errorf("lobstore: %w: MaxSegmentPages %d must be a power of two", ErrConfig, cfg.MaxSegmentPages)
+	}
+	if cfg.GroupCommit != (GroupCommit{}) || cfg.AsyncWriteback {
+		return nil, fmt.Errorf("lobstore: %w: GroupCommit and AsyncWriteback are deprecated and must be zero (commit barriers batch from load)", ErrConfig)
 	}
 	if cfg.Concurrent && !cfg.Materialize {
 		return nil, fmt.Errorf("lobstore: %w: Concurrent requires Materialize (snapshot readers peek committed bytes)", ErrConfig)

@@ -2,6 +2,7 @@ package lobstore_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -54,6 +55,18 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 	cfg.PageSize = 100
 	if _, err := lobstore.Open(cfg); err == nil {
 		t.Error("bad page size accepted")
+	}
+	// The deprecated commit knobs tune nothing, so setting one is an error.
+	for name, set := range map[string]func(*lobstore.Config){
+		"GroupCommit.MaxBatch": func(c *lobstore.Config) { c.GroupCommit.MaxBatch = 16 },
+		"GroupCommit.MaxDelay": func(c *lobstore.Config) { c.GroupCommit.MaxDelay = time.Millisecond },
+		"AsyncWriteback":       func(c *lobstore.Config) { c.AsyncWriteback = true },
+	} {
+		cfg = testConfig()
+		set(&cfg)
+		if _, err := lobstore.Open(cfg); !errors.Is(err, lobstore.ErrConfig) {
+			t.Errorf("%s set: got %v, want an ErrConfig-wrapped error", name, err)
+		}
 	}
 }
 
